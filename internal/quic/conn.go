@@ -125,12 +125,10 @@ type Conn struct {
 	connLimitSent   uint64
 	cryptoRcvd      map[wire.CryptoKind]uint32
 
-	// spurious tracks declared-lost packet numbers to detect false
-	// losses (reordering mistaken for loss, paper §5.2).
-	// spuriousScratch is reused to walk the set in sorted order, so
-	// false-loss events hit the trace log deterministically.
-	spurious        map[uint64]bool
-	spuriousScratch []uint64
+	// spurious tracks declared-lost packet numbers, ascending, to detect
+	// false losses (reordering mistaken for loss, paper §5.2). Walking
+	// it in order keeps false-loss events deterministic in the trace.
+	spurious []uint64
 	// nackThreshold is the live threshold (adapted upward when
 	// Config.AdaptiveNACK is set and a loss proves spurious).
 	nackThreshold int

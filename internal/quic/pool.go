@@ -114,34 +114,32 @@ func (e *Endpoint) retireConn(c *Conn) {
 	clear(c.sent)
 	clear(c.streams)
 	clear(c.cryptoRcvd)
-	clear(c.spurious)
 	for i := range c.procQueue {
 		c.procQueue[i] = nil
 	}
 	c.rcvdPNs.Clear()
 	*c = Conn{
-		sent:            c.sent,
-		streams:         c.streams,
-		cryptoRcvd:      c.cryptoRcvd,
-		spurious:        c.spurious,
-		rcvdPNs:         c.rcvdPNs,
-		sentOrder:       c.sentOrder[:0],
-		streamOrder:     c.streamOrder[:0],
-		retransQ:        c.retransQ[:0],
-		cryptoQ:         c.cryptoQ[:0],
-		controlQ:        c.controlQ[:0],
-		onConnected:     c.onConnected[:0],
-		rangeScratch:    c.rangeScratch[:0],
-		spuriousScratch: c.spuriousScratch[:0],
-		procQueue:       c.procQueue[:0],
-		spFree:          c.spFree,
-		lostScratch:     c.lostScratch[:0],
-		maybeSendFn:     c.maybeSendFn,
-		lossAlarmFn:     c.lossAlarmFn,
-		idleAlarmFn:     c.idleAlarmFn,
-		hsAlarmFn:       c.hsAlarmFn,
-		ackFlushFn:      c.ackFlushFn,
-		processNextFn:   c.processNextFn,
+		sent:          c.sent,
+		streams:       c.streams,
+		cryptoRcvd:    c.cryptoRcvd,
+		spurious:      c.spurious[:0],
+		rcvdPNs:       c.rcvdPNs,
+		sentOrder:     c.sentOrder[:0],
+		streamOrder:   c.streamOrder[:0],
+		retransQ:      c.retransQ[:0],
+		cryptoQ:       c.cryptoQ[:0],
+		controlQ:      c.controlQ[:0],
+		onConnected:   c.onConnected[:0],
+		rangeScratch:  c.rangeScratch[:0],
+		procQueue:     c.procQueue[:0],
+		spFree:        c.spFree,
+		lostScratch:   c.lostScratch[:0],
+		maybeSendFn:   c.maybeSendFn,
+		lossAlarmFn:   c.lossAlarmFn,
+		idleAlarmFn:   c.idleAlarmFn,
+		hsAlarmFn:     c.hsAlarmFn,
+		ackFlushFn:    c.ackFlushFn,
+		processNextFn: c.processNextFn,
 	}
 	e.connFree = append(e.connFree, c)
 }

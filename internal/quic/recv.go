@@ -178,19 +178,18 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	// False-loss accounting: a declared-lost packet later covered by an
 	// ack was reordered, not lost. With AdaptiveNACK the threshold is
 	// raised on each such event (the RR-TCP idea applied to QUIC).
-	// Walk the set in packet-number order — map iteration order would
-	// leak into the trace event stream and break run determinism.
-	c.spuriousScratch = c.spuriousScratch[:0]
-	for pn := range c.spurious {
-		c.spuriousScratch = append(c.spuriousScratch, pn)
-	}
-	slices.Sort(c.spuriousScratch)
-	for _, pn := range c.spuriousScratch {
-		if f.Acked(pn) {
+	// Only packet numbers up to the largest acked can be settled; the
+	// rest of the set is kept as is.
+	cut, _ := slices.BinarySearch(c.spurious, f.LargestAcked+1)
+	n := len(c.spurious)
+	kept := c.spurious[:0]
+	for _, pn := range c.spurious[:cut] {
+		switch {
+		case f.Acked(pn):
+			n--
 			c.stats.FalseLosses++
 			c.cfg.Tracer.Count("false_loss")
 			c.cfg.Tracer.SpuriousLoss(now, pn)
-			delete(c.spurious, pn)
 			if c.cfg.AdaptiveNACK {
 				next := c.nackThreshold + c.nackThreshold/2 + 1
 				if next > 128 {
@@ -198,10 +197,13 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 				}
 				c.nackThreshold = next
 			}
-		} else if pn < f.LargestAcked && len(c.spurious) > 4096 {
-			delete(c.spurious, pn) // bound state
+		case pn < f.LargestAcked && n > 4096:
+			n-- // bound state
+		default:
+			kept = append(kept, pn)
 		}
 	}
+	c.spurious = append(kept, c.spurious[cut:]...)
 
 	newlyAcked := false
 	lost := c.lostScratch[:0]
@@ -307,10 +309,9 @@ func (c *Conn) declareLost(sp *sentPacket) {
 // spuriousWatch tracks recently declared-lost pns; acks covering them
 // later are counted as false losses (the paper's reordering root cause).
 func (c *Conn) watchSpurious(pn uint64) {
-	if c.spurious == nil {
-		c.spurious = make(map[uint64]bool)
+	if i, found := slices.BinarySearch(c.spurious, pn); !found {
+		c.spurious = slices.Insert(c.spurious, i, pn)
 	}
-	c.spurious[pn] = true
 }
 
 func (c *Conn) minUnackedPN() uint64 {

@@ -32,29 +32,11 @@ func releaseSegment(seg *wire.TCPSegment) {
 // Endpoint.HandlePacket, as soon as its fields are read.
 var wrapPool = sync.Pool{New: func() any { return new(segment) }}
 
-// getSentSeg takes a loss-detection record from the connection's free
-// list (transmit is the only caller; records return to the list at each
-// death point: cumulative ack, SACK coverage, declared loss, RTO
-// requeue, and replacement by a same-sequence retransmission).
-func (c *Conn) getSentSeg() *sentSeg {
-	if n := len(c.ssFree); n > 0 {
-		ss := c.ssFree[n-1]
-		c.ssFree = c.ssFree[:n-1]
-		return ss
-	}
-	return new(sentSeg)
-}
-
-func (c *Conn) putSentSeg(ss *sentSeg) {
-	*ss = sentSeg{}
-	c.ssFree = append(c.ssFree, ss)
-}
-
 // --- Connection record recycling (Endpoint.Reset lifecycle) -------------
 
 // takeConn returns a scrubbed connection record from the endpoint's free
 // list, or a fresh one. Recycled records keep their container storage
-// (maps, slices, the sentSeg free list) and their bound timer callbacks;
+// (the scoreboard, sets and scratch slices) and their bound timer callbacks;
 // everything else was zeroed at retire time, so the struct is
 // indistinguishable from a fresh allocation to the protocol machinery.
 func (e *Endpoint) takeConn() *Conn {
@@ -64,7 +46,7 @@ func (e *Endpoint) takeConn() *Conn {
 		e.connFree = e.connFree[:n-1]
 		return c
 	}
-	c := &Conn{sentSegs: make(map[uint64]*sentSeg)}
+	c := new(Conn)
 	// Bind the timer callbacks once per record; they capture only the
 	// pointer, which stays valid across recycles.
 	c.sendSYNFn = c.sendSYN
@@ -79,25 +61,23 @@ func (e *Endpoint) takeConn() *Conn {
 // retireConn scrubs a dead connection record and pushes it onto the free
 // list. Called only from Endpoint.Reset, when the simulator has already
 // been wiped — no scheduled event can reference the record any more.
-// In-flight sentSeg records and queued segments are left to the GC; the
-// record's own free lists and scratch space survive the recycle.
+// Queued segments are left to the GC; the record's scoreboard and
+// scratch space survive the recycle.
 func (e *Endpoint) retireConn(c *Conn) {
-	clear(c.sentSegs)
+	c.sb.reset()
 	for i := range c.procQueue {
 		c.procQueue[i] = nil
 	}
 	c.sacked.Clear()
 	c.received.Clear()
 	*c = Conn{
-		sentSegs:      c.sentSegs,
+		sb:            c.sb,
 		sacked:        c.sacked,
 		received:      c.received,
-		segOrder:      c.segOrder[:0],
 		retransQ:      c.retransQ[:0],
 		procQueue:     c.procQueue[:0],
 		sackScratch:   c.sackScratch[:0],
 		onConnected:   c.onConnected[:0],
-		ssFree:        c.ssFree,
 		lostScratch:   c.lostScratch[:0],
 		sendSYNFn:     c.sendSYNFn,
 		onTLPFn:       c.onTLPFn,
