@@ -108,9 +108,6 @@ type Conn struct {
 	flushAckFn    func()
 	processNextFn func()
 
-	// lostScratch is reused by detectLosses.
-	lostScratch []sentSeg
-
 	// prof attributes virtual time to exclusive stall states
 	// (Config.Profile). Nil when profiling is off; every hook is a
 	// nil-guarded no-op, and conn recycling scrubs the field.

@@ -78,7 +78,6 @@ func (e *Endpoint) retireConn(c *Conn) {
 		procQueue:     c.procQueue[:0],
 		sackScratch:   c.sackScratch[:0],
 		onConnected:   c.onConnected[:0],
-		lostScratch:   c.lostScratch[:0],
 		sendSYNFn:     c.sendSYNFn,
 		onTLPFn:       c.onTLPFn,
 		onRTOFn:       c.onRTOFn,

@@ -225,13 +225,24 @@ func (c *Conn) highestSacked() uint64 {
 // detectLosses applies SACK/FACK-style loss detection with the adaptive
 // dupThresh: a segment is lost when data at least dupThresh segments
 // beyond it has been SACKed, or (for the first segment) when dupThresh
-// duplicate acks arrive.
+// duplicate acks arrive. Losses are declared in sequence order, in
+// place: marking a record lost never moves it.
 func (c *Conn) detectLosses() {
 	now := c.sim.Now()
 	high := c.highestSacked()
 	thresholdBytes := uint64(c.dupThresh) * uint64(wire.TCPMSS)
-	lost := c.lostScratch[:0]
-	for _, ss := range c.sb.below(high) {
+	// Classic dupack threshold for the head-of-line segment, with early
+	// retransmit (RFC 5827): when few segments are outstanding, not
+	// enough dupacks can ever arrive, so the threshold shrinks — without
+	// this, small-cwnd flows collapse into 200 ms RTOs (which is what
+	// Linux avoids too). Counted before the SACK pass declares any loss.
+	thresh := c.dupThresh
+	if out := c.sb.live; out >= 2 && out < 4 && thresh > out-1 {
+		thresh = out - 1
+	}
+	segs := c.sb.below(high)
+	for i := range segs {
+		ss := &segs[i]
 		// A retransmission is never re-declared lost by SACK evidence
 		// (pre-RACK Linux semantics): with a deep retransmission queue,
 		// SACK-clocked re-declaration races the retransmission's own
@@ -240,48 +251,24 @@ func (c *Conn) detectLosses() {
 		if ss.lost || ss.rexmit {
 			continue
 		}
-		base := ss.end
-		if ss.fackBase > base {
-			base = ss.fackBase
+		if high >= max(ss.end, ss.fackBase)+thresholdBytes {
+			c.declareLost(ss, now)
 		}
-		if high >= base+thresholdBytes {
-			lost = append(lost, ss)
-		}
-	}
-	sortByOrd(lost)
-	// Classic dupack threshold for the head-of-line segment, with early
-	// retransmit (RFC 5827): when few segments are outstanding, not
-	// enough dupacks can ever arrive, so the threshold shrinks — without
-	// this, small-cwnd flows collapse into 200 ms RTOs (which is what
-	// Linux avoids too).
-	thresh := c.dupThresh
-	if out := c.sb.live; out >= 2 && out < 4 && thresh > out-1 {
-		thresh = out - 1
 	}
 	if c.dupAcks >= thresh {
+		// headAt skips a head the SACK pass just declared lost.
 		if ss, ok := c.sb.headAt(c.sndUna); ok && !ss.rexmit {
-			already := false
-			for i := range lost {
-				if lost[i].seq == ss.seq {
-					already = true
-				}
-			}
-			if !already {
-				lost = append(lost, *ss)
-			}
+			c.declareLost(ss, now)
 		}
 		c.dupAcks = 0
 	}
-	for i := range lost {
-		c.declareLost(&lost[i], now)
-	}
-	c.lostScratch = lost[:0]
 }
 
+// declareLost marks tracked record ss lost and queues its range for
+// retransmission.
 func (c *Conn) declareLost(ss *sentSeg, now time.Duration) {
-	if !c.sb.markLost(ss.seq) {
-		return
-	}
+	ss.lost = true
+	c.sb.live--
 	c.untrack(ss)
 	c.cc.OnLoss(now, ss.sendIdx, int(ss.end-ss.seq), c.pipe())
 	c.retransQ = append(c.retransQ, ranges.Range{Start: ss.seq, End: ss.end})

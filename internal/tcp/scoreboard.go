@@ -9,26 +9,16 @@ import "quiclab/internal/ranges"
 // overwrites the record in place.
 type sentSeg struct {
 	seq, end uint64
-	sendIdx  uint64 // transmit-log position of the latest transmission
+	sendIdx  uint64 // cc packet index of the latest transmission
 	// fackBase is the highest SACKed sequence at transmit time: loss
 	// re-detection for a retransmission requires new SACK evidence
 	// beyond this point (prevents retransmit storms).
 	fackBase uint64
-	// ord is the transmit-log position of this sequence's first
-	// surviving occurrence: the order in which batches are visited.
-	ord    uint64
-	rexmit bool
+	rexmit   bool
 	// lost marks a record declared lost (or requeued by an RTO) and not
-	// yet retransmitted. It no longer counts as in flight; it stays on
-	// the board only to remember its transmit-log occurrences.
+	// yet retransmitted. It no longer counts as in flight; it stays in
+	// place because removing it would move every record above it.
 	lost bool
-}
-
-// logEnt is one transmit-log position: the sequence transmitted there,
-// and whether that position is the ord of a tracked record.
-type logEnt struct {
-	seq   uint64
-	first bool
 }
 
 // scoreboard is the sender's record of transmitted, not yet
@@ -36,32 +26,19 @@ type logEnt struct {
 // touches only what it acknowledges: a cumulative ack pops a prefix,
 // SACK and loss passes stop at the highest SACKed byte, the dupack head
 // is the first record and the tail-loss probe the last (DESIGN.md §12).
-//
-// Callbacks are issued in the order a transmit-ordered log of sequence
-// numbers would visit them — each record at its sequence's first
-// occurrence still in the log, where the log's head is trimmed past
-// positions whose sequence is no longer tracked (see compact).
-// Sequence order alone differs from that order once retransmissions
-// interleave, and the order is observable: it decides which record
-// carries the RTT sample and the in-flight value each cc callback sees.
-// Each batch is therefore sorted by ord before it is returned. The log
-// keeps one entry per transmission since the oldest tracked ord, so its
-// head trim is amortised O(1) per transmission.
+// Every batch is visited in sequence order, as a kernel walks its
+// retransmit queue.
 type scoreboard struct {
 	segs []sentSeg // segs[head:] sorted by seq, non-overlapping
 	head int
 	live int // records not marked lost
-
-	log     []logEnt // log[logHead:] holds positions logBase, logBase+1, ...
-	logHead int
-	logBase uint64
 
 	batch []sentSeg // scratch returned by the take/pop methods
 }
 
 // reset empties the board, keeping its storage.
 func (b *scoreboard) reset() {
-	*b = scoreboard{segs: b.segs[:0], log: b.log[:0], batch: b.batch[:0]}
+	*b = scoreboard{segs: b.segs[:0], batch: b.batch[:0]}
 }
 
 // find returns the index of the record for seq, or the index where one
@@ -82,12 +59,12 @@ func (b *scoreboard) find(seq uint64) (int, bool) {
 	return lo, lo < len(b.segs) && b.segs[lo].seq == seq
 }
 
-// add records a transmission of [seq, end) at log position pos. A
-// tracked record for seq is overwritten and its length returned (a
-// same-range retransmission counts as rexmit); a lost one is revived.
-func (b *scoreboard) add(seq, end, pos uint64, rexmit bool, fackBase uint64) (replaced int) {
+// add records a transmission of [seq, end) with cc packet index
+// sendIdx. A tracked record for seq is overwritten and its length
+// returned (a same-range retransmission counts as rexmit); a lost one is
+// revived.
+func (b *scoreboard) add(seq, end, sendIdx uint64, rexmit bool, fackBase uint64) (replaced int) {
 	i, found := b.find(seq)
-	ord := pos
 	switch {
 	case !found:
 		b.live++
@@ -104,80 +81,37 @@ func (b *scoreboard) add(seq, end, pos uint64, rexmit bool, fackBase uint64) (re
 		if old.end == end {
 			rexmit = true
 		}
-		ord = old.ord
 	default:
 		b.live++
-		ord = b.survivingOrd(&b.segs[i], pos)
-		if ord != pos {
-			b.logAt(ord).first = true
-		}
 	}
-	b.segs[i] = sentSeg{seq: seq, end: end, sendIdx: pos, fackBase: fackBase, ord: ord, rexmit: rexmit}
-	if b.logHead == len(b.log) {
-		b.log, b.logHead, b.logBase = b.log[:0], 0, pos
-	}
-	b.log = appendSlid(b.log, &b.logHead, logEnt{seq: seq, first: ord == pos})
+	b.segs[i] = sentSeg{seq: seq, end: end, sendIdx: sendIdx, fackBase: fackBase, rexmit: rexmit}
 	return replaced
 }
 
-// survivingOrd returns the first log position not yet trimmed that
-// transmitted lost record s's sequence, or pos (the retransmission
-// about to be logged) if the trim has passed them all. Past the first
-// transmission, only a tail-loss probe can have logged the sequence.
-func (b *scoreboard) survivingOrd(s *sentSeg, pos uint64) uint64 {
-	for p := max(s.ord, b.logBase); p <= s.sendIdx; p++ {
-		if b.logAt(p).seq == s.seq {
-			return p
-		}
-	}
-	return pos
-}
-
-func (b *scoreboard) logAt(pos uint64) *logEnt {
-	return &b.log[b.logHead+int(pos-b.logBase)]
-}
-
-// drop clears the log mark of a record leaving the tracked set.
-func (b *scoreboard) drop(s *sentSeg) {
-	b.live--
-	b.logAt(s.ord).first = false
-}
-
-// compact trims the transmit log's head past positions that are no
-// tracked record's ord. It runs where the old list was last compacted
-// before any transmission could follow: after each ack's SACK pass and
-// after the RTO requeue. Trimming elsewhere changes which occurrence a
-// revived record resumes from.
-func (b *scoreboard) compact() {
-	for b.logHead < len(b.log) && !b.log[b.logHead].first {
-		b.logHead++
-		b.logBase++
-	}
-}
-
 // popBelow removes every record ending at or below ackNum and returns
-// the tracked ones in visiting order. The result is valid until the
-// next call that returns a batch.
+// the tracked ones. The result is valid until the next call that
+// returns a batch.
 func (b *scoreboard) popBelow(ackNum uint64) []sentSeg {
 	out := b.batch[:0]
 	for b.head < len(b.segs) && b.segs[b.head].end <= ackNum {
 		if s := &b.segs[b.head]; !s.lost {
-			b.drop(s)
+			b.live--
 			out = append(out, *s)
 		}
 		b.head++
 	}
-	return b.finish(out)
+	b.batch = out[:0]
+	return out
 }
 
 // takeSacked removes the tracked records below high that sacked fully
-// covers and returns them in visiting order.
+// covers and returns them.
 func (b *scoreboard) takeSacked(sacked *ranges.Set, high uint64) []sentSeg {
 	out := b.batch[:0]
 	k := b.head
 	for k < len(b.segs) && b.segs[k].seq < high {
 		if s := &b.segs[k]; !s.lost && sacked.ContainsRange(s.seq, s.end) {
-			b.drop(s)
+			b.live--
 			out = append(out, *s)
 			s.end = 0 // tombstone for the sweep below
 		}
@@ -195,39 +129,26 @@ func (b *scoreboard) takeSacked(sacked *ranges.Set, high uint64) []sentSeg {
 		}
 		b.head = w
 	}
-	b.compact()
-	return b.finish(out)
+	b.batch = out[:0]
+	return out
 }
 
 // takeUnsacked marks every tracked record that sacked does not fully
-// cover as lost and returns them in visiting order (the RTO requeue).
+// cover as lost and returns them (the RTO requeue).
 func (b *scoreboard) takeUnsacked(sacked *ranges.Set) []sentSeg {
 	out := b.batch[:0]
 	for i := b.head; i < len(b.segs); i++ {
 		if s := &b.segs[i]; !s.lost && !sacked.ContainsRange(s.seq, s.end) {
-			b.drop(s)
+			b.live--
 			s.lost = true
 			out = append(out, *s)
 		}
 	}
-	b.compact()
-	return b.finish(out)
+	b.batch = out[:0]
+	return out
 }
 
-// markLost marks the tracked record for seq as lost, reporting whether
-// there was one.
-func (b *scoreboard) markLost(seq uint64) bool {
-	i, found := b.find(seq)
-	if !found || b.segs[i].lost {
-		return false
-	}
-	b.drop(&b.segs[i])
-	b.segs[i].lost = true
-	return true
-}
-
-// below returns the records (tracked and lost) starting below high, in
-// sequence order.
+// below returns the records (tracked and lost) starting below high.
 func (b *scoreboard) below(high uint64) []sentSeg {
 	k := b.head
 	for k < len(b.segs) && b.segs[k].seq < high {
@@ -252,23 +173,6 @@ func (b *scoreboard) tail() (*sentSeg, bool) {
 		}
 	}
 	return nil, false
-}
-
-func (b *scoreboard) finish(out []sentSeg) []sentSeg {
-	sortByOrd(out)
-	b.batch = out[:0]
-	return out
-}
-
-// sortByOrd insertion-sorts a batch into visiting order. Batches arrive
-// in sequence order, which matches ord except around retransmissions,
-// so this is linear in practice.
-func sortByOrd(s []sentSeg) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].ord < s[j-1].ord; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // appendSlid appends v to s[*head:], first sliding the live region back

@@ -20,12 +20,12 @@ import (
 // --- Reference model ------------------------------------------------------
 
 // legacySender is the sender half of a connection as it was before the
-// sequence-sorted scoreboard: records in a map keyed by sequence plus a
-// transmit-ordered list of sequences, scanned in full on every ack. The
-// differential test below drives it and a real Conn with the same
-// events and requires identical cc calls, trace events and
-// retransmission queues. Timers, the receive side and new-data sending
-// are left out; the harness drives those directly.
+// sequence-sorted scoreboard: records in a map keyed by sequence, walked
+// in full, in sequence order, on every ack. The differential test below
+// drives it and a real Conn with the same events and requires identical
+// cc calls, trace events and retransmission queues. Timers, the receive
+// side and new-data sending are left out; the harness drives those
+// directly.
 type legacySender struct {
 	sim          *sim.Simulator
 	cc           *ccRecorder
@@ -34,7 +34,6 @@ type legacySender struct {
 
 	sndUna, sndNxt uint64
 	sentSegs       map[uint64]*legacySeg
-	segOrder       []uint64
 	sacked         ranges.Set
 	dupThresh      int
 	dupAcks        int
@@ -126,7 +125,6 @@ func (c *legacySender) transmit(seq, end uint64, rexmit bool) {
 	}
 	c.sentSegs[seq] = ss
 	c.outBytes += int(end - seq)
-	c.segOrder = append(c.segOrder, seq)
 	c.cc.OnPacketSent(now, ss.sendIdx, int(end-seq))
 	c.tr.PacketSent(now, seq, int(end-seq), 0)
 }
@@ -166,23 +164,16 @@ func (c *legacySender) onRTO() {
 	c.lastRTOAt = c.sim.Now()
 	c.tr.RTOFired(c.sim.Now())
 	c.cc.OnRTO(c.sim.Now())
-	c.compactSegOrder()
-	var toResend []ranges.Range
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
-			continue
-		}
+	for _, seq := range c.seqOrder() {
+		ss := c.sentSegs[seq]
 		if c.sacked.ContainsRange(ss.seq, ss.end) {
 			continue
 		}
 		c.untrack(ss)
-		toResend = append(toResend, ranges.Range{Start: ss.seq, End: ss.end})
+		c.retransQ = append(c.retransQ, ranges.Range{Start: ss.seq, End: ss.end})
 	}
-	c.compactSegOrder()
-	// The requeue order is RTO policy, not scoreboard state: like Conn,
-	// resend in sequence order.
-	c.retransQ = append(c.retransQ, toResend...)
+	// Holes declared lost earlier but not yet resent go ahead of the
+	// requeued segments: like Conn, resend in sequence order.
 	slices.SortFunc(c.retransQ, func(a, b ranges.Range) int { return cmp.Compare(a.Start, b.Start) })
 	c.maybeSend()
 }
@@ -233,11 +224,10 @@ func (c *legacySender) ackSegmentsBelow(ackNum uint64, tsecr uint32) {
 	sample := now - time.Duration(tsecr)*time.Millisecond
 	sample = sample / time.Millisecond * time.Millisecond
 	sampled := false
-	c.compactSegOrder()
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok || ss.end > ackNum {
-			continue
+	for _, seq := range c.seqOrder() {
+		ss := c.sentSegs[seq]
+		if ss.end > ackNum {
+			break
 		}
 		rtt := time.Duration(0)
 		if !ss.rexmit && !sampled && tsecr > 0 {
@@ -250,33 +240,28 @@ func (c *legacySender) ackSegmentsBelow(ackNum uint64, tsecr uint32) {
 		c.tr.PacketAcked(now, ss.seq, int(ss.end-ss.seq))
 		c.cc.OnAck(now, ss.sendIdx, int(ss.end-ss.seq), rtt, c.outBytes)
 	}
-	c.compactSegOrder()
 }
 
 func (c *legacySender) ackSackedSegments() {
 	now := c.sim.Now()
-	c.compactSegOrder()
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
-			continue
-		}
+	for _, seq := range c.seqOrder() {
+		ss := c.sentSegs[seq]
 		if c.sacked.ContainsRange(ss.seq, ss.end) {
 			c.untrack(ss)
 			c.tr.PacketAcked(now, ss.seq, int(ss.end-ss.seq))
 			c.cc.OnAck(now, ss.sendIdx, int(ss.end-ss.seq), 0, c.outBytes)
 		}
 	}
-	c.compactSegOrder()
 }
 
-func (c *legacySender) compactSegOrder() {
-	for len(c.segOrder) > 0 {
-		if _, ok := c.sentSegs[c.segOrder[0]]; ok {
-			break
-		}
-		c.segOrder = c.segOrder[1:]
+// seqOrder returns the tracked sequences in ascending order.
+func (c *legacySender) seqOrder() []uint64 {
+	seqs := make([]uint64, 0, len(c.sentSegs))
+	for seq := range c.sentSegs {
+		seqs = append(seqs, seq)
 	}
+	slices.Sort(seqs)
+	return seqs
 }
 
 func (c *legacySender) highestSacked() uint64 {
@@ -292,12 +277,8 @@ func (c *legacySender) detectLosses() {
 	high := c.highestSacked()
 	thresholdBytes := uint64(c.dupThresh) * uint64(wire.TCPMSS)
 	var lost []*legacySeg
-	c.compactSegOrder()
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
-			continue
-		}
+	for _, seq := range c.seqOrder() {
+		ss := c.sentSegs[seq]
 		if ss.seq >= high {
 			break
 		}
@@ -315,15 +296,7 @@ func (c *legacySender) detectLosses() {
 	}
 	if c.dupAcks >= thresh {
 		if ss, ok := c.sentSegs[c.sndUna]; ok && !ss.rexmit {
-			already := false
-			for _, l := range lost {
-				if l == ss {
-					already = true
-				}
-			}
-			if !already {
-				lost = append(lost, ss)
-			}
+			lost = append(lost, ss) // declared once: see the skip below
 		}
 		c.dupAcks = 0
 	}
@@ -565,10 +538,9 @@ func (g *scoreboardRig) check(op string, n int) {
 	}
 
 	// Scoreboard invariants: sorted and non-overlapping, the tracked set
-	// is the legacy map, outBytes is the tracked bytes, and every tracked
-	// record's ord is a marked log position holding its sequence.
+	// is the legacy map, and outBytes is the tracked bytes.
 	b := &c.sb
-	live, out, marks := 0, 0, 0
+	live, out := 0, 0
 	for i := b.head; i < len(b.segs); i++ {
 		s := b.segs[i]
 		if s.end <= s.seq || (i > b.head && b.segs[i-1].end > s.seq) {
@@ -586,17 +558,9 @@ func (g *scoreboardRig) check(op string, n int) {
 		if !ok || l.end != s.end || l.sendIdx != s.sendIdx || l.rexmit != s.rexmit || l.fackBase != s.fackBase {
 			fail("record %+v, legacy %+v", s, l)
 		}
-		if s.ord < b.logBase || !b.logAt(s.ord).first || b.logAt(s.ord).seq != s.seq {
-			fail("record %+v has no log mark (log base %d)", s, b.logBase)
-		}
 	}
-	for _, e := range b.log[b.logHead:] {
-		if e.first {
-			marks++
-		}
-	}
-	if live != b.live || live != len(ref.sentSegs) || marks != live {
-		fail("tracked %d, counted %d, legacy %d, log marks %d", live, b.live, len(ref.sentSegs), marks)
+	if live != b.live || live != len(ref.sentSegs) {
+		fail("tracked %d, counted %d, legacy %d", live, b.live, len(ref.sentSegs))
 	}
 	if out != c.outBytes {
 		fail("outBytes %d, tracked bytes %d", c.outBytes, out)
@@ -660,4 +624,72 @@ func TestScoreboardMatchesLegacy(t *testing.T) {
 			ops, acks, lost, reorderedBatches)
 	}
 	t.Logf("ops %v; %d acks (%d out of send order), %d losses", ops, acks, reorderedBatches, lost)
+}
+
+// TestCumulativeAckVisitsSequenceOrder pins the visiting policy on its
+// own: a cumulative ack covering a fast-retransmitted hole and newer
+// original segments acks them in ascending sequence, and the RTT sample
+// comes from the lowest-sequence original.
+func TestCumulativeAckVisitsSequenceOrder(t *testing.T) {
+	g := newScoreboardRig(t, 1)
+	c := g.c
+	g.advance(5 * time.Millisecond)
+	mss := uint64(wire.TCPMSS)
+	send := func(n int) {
+		for ; n > 0; n-- {
+			c.transmit(c.sndNxt, c.sndNxt+mss, false)
+			c.sndNxt += mss
+		}
+	}
+	ack := func(ackNum uint64, sack ...wire.SACKBlock) {
+		c.onAckInfo(&wire.TCPSegment{ACK: true, AckNum: ackNum, Window: 1 << 30,
+			TSEcr: wire.TCPTimestampNow(5 * time.Millisecond), SACK: sack})
+	}
+
+	send(6)                                          // segments 0-5
+	ack(0, wire.SACKBlock{Start: mss, End: 5 * mss}) // 1-4 SACKed: 0 is lost
+	if len(c.retransQ) != 1 || c.retransQ[0].Start != 0 {
+		t.Fatalf("hole not declared lost: retransQ %v", c.retransQ)
+	}
+	g.advance(2 * time.Millisecond)
+	ack(0, wire.SACKBlock{Start: mss, End: 5 * mss}) // another SACK pass first
+	g.rec.allow = 1
+	c.maybeSend() // retransmits segment 0
+	send(1)       // segment 6
+	g.advance(10 * time.Millisecond)
+
+	seqOf := map[uint64]uint64{} // cc packet index -> sequence
+	var sent []uint64
+	for _, e := range g.tr.Events {
+		if e.Type == trace.EventPacketSent {
+			sent = append(sent, e.PN)
+		}
+	}
+	n := 0
+	for _, call := range g.rec.calls {
+		if call.op == "sent" {
+			seqOf[call.idx] = sent[n]
+			n++
+		}
+	}
+	mark := len(g.rec.calls)
+	ack(7 * mss)
+
+	var got []uint64
+	var sampled []uint64
+	for _, call := range g.rec.calls[mark:] {
+		if call.op != "ack" {
+			continue
+		}
+		got = append(got, seqOf[call.idx]/mss)
+		if call.rtt > 0 {
+			sampled = append(sampled, seqOf[call.idx]/mss)
+		}
+	}
+	if want := []uint64{0, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("OnAck visited segments %v, want %v (ascending sequence)", got, want)
+	}
+	if !slices.Equal(sampled, []uint64{5}) {
+		t.Errorf("RTT sampled from segments %v, want [5] (lowest original)", sampled)
+	}
 }
