@@ -38,8 +38,7 @@ func main() {
 		objects  = flag.Int("objects", 1, "objects per page")
 		size     = flag.Int("size", 10<<20, "object size (bytes)")
 		dev      = flag.String("device", "Desktop", "client device")
-		useBBR   = flag.Bool("bbr", false, "use the BBR congestion controller (QUIC only)")
-		ccAlgo   = flag.String("cc", "", "congestion controller for the traced transport ('help' lists; overrides -bbr)")
+		ccAlgo   = flag.String("cc", "", "congestion controller for the traced transport ('help' lists)")
 		seed     = flag.Int64("seed", 1, "seed")
 		qlogPath = flag.String("qlog", "", "write the server-side event log (JSONL) here")
 		dotPath  = flag.String("dot", "", "write Graphviz DOT state machine here")
@@ -97,7 +96,6 @@ func main() {
 		Jitter:      *jitter,
 		Page:        web.Page{NumObjects: *objects, ObjectSize: *size},
 		Device:      profile,
-		UseBBR:      *useBBR,
 		CCAlgo:      *ccAlgo,
 		TraceEvents: true,
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"quiclab/internal/cc"
 	"quiclab/internal/metrics"
 )
 
@@ -133,5 +134,31 @@ func TestUnknownProtoRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown -proto") {
 		t.Fatalf("stderr %q does not explain the invalid flag", stderr)
+	}
+}
+
+func TestCCSelectsBBR(t *testing.T) {
+	stdout, stderr, code := run(t, fastArgs("-cc", "bbr")...)
+	if code != 0 {
+		t.Fatalf("-cc bbr exited %d, stderr: %s", code, stderr)
+	}
+	_, model, ok := strings.Cut(stdout, "state machine (")
+	if !ok || !strings.Contains(model, "Startup") {
+		t.Fatalf("-cc bbr did not infer a BBR state machine with Startup:\n%s", stdout)
+	}
+}
+
+func TestUnknownCCRejected(t *testing.T) {
+	_, stderr, code := run(t, fastArgs("-cc", "nope")...)
+	if code != 2 {
+		t.Fatalf("unknown -cc exited %d, want 2", code)
+	}
+	if !strings.Contains(stderr, "unknown -cc") {
+		t.Fatalf("stderr %q does not explain the invalid flag", stderr)
+	}
+	for _, name := range cc.Algorithms() {
+		if !strings.Contains(stderr, name) {
+			t.Fatalf("stderr %q does not list registered algorithm %q", stderr, name)
+		}
 	}
 }

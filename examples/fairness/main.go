@@ -14,18 +14,16 @@ import (
 )
 
 func main() {
-	for _, flows := range [][]core.Proto{
-		{core.QUIC, core.TCP},
-		{core.QUIC, core.TCP, core.TCP, core.TCP, core.TCP},
-	} {
+	q, t := core.FairArm{Proto: core.QUIC}, core.FairArm{Proto: core.TCP}
+	for _, arms := range [][]core.FairArm{{q, t}, {q, t, t, t, t}} {
 		res := core.RunFairness(core.FairnessSpec{
 			Seed:       7,
 			RateMbps:   5,
 			QueueBytes: 30 << 10,
-			Flows:      flows,
+			Arms:       arms,
 			Duration:   60 * time.Second,
 		})
-		fmt.Printf("%d flows sharing a 5 Mbps bottleneck (36 ms RTT, 30 KB buffer):\n", len(flows))
+		fmt.Printf("%d flows sharing a 5 Mbps bottleneck (36 ms RTT, 30 KB buffer):\n", len(arms))
 		var total float64
 		for _, f := range res {
 			total += f.Throughput
@@ -34,7 +32,7 @@ func main() {
 			fmt.Printf("  %-8s %.2f Mbps (%.0f%% of the achieved total)\n",
 				f.Name, f.Throughput, 100*f.Throughput/total)
 		}
-		fair := total / float64(len(flows))
+		fair := total / float64(len(arms))
 		fmt.Printf("  fair share would be %.2f Mbps each; QUIC holds %.1fx its fair share\n\n",
 			fair, res[0].Throughput/fair)
 	}

@@ -340,10 +340,11 @@ func runFig2(w io.Writer, o Options) {
 	}
 }
 
-// stateMachineTraces enqueues a spread of scenarios on m and returns the
+// stateMachineTraces enqueues a spread of QUIC scenarios running the
+// ccAlgo registry controller ("" = calibrated Cubic) on m and returns the
 // server-side CC trace slots, filled once m.Run() returns.
-func stateMachineTraces(m *Matrix, o Options, useBBR bool) []statemachine.Trace {
-	base := Scenario{Seed: o.Seed, Device: device.Desktop, UseBBR: useBBR}
+func stateMachineTraces(m *Matrix, o Options, ccAlgo string) []statemachine.Trace {
+	base := Scenario{Seed: o.Seed, Device: device.Desktop, CCAlgo: ccAlgo}
 	scenarios := []Scenario{}
 	add := func(mod func(*Scenario)) {
 		sc := base
@@ -404,7 +405,7 @@ func stateMachineTraces(m *Matrix, o Options, useBBR bool) []statemachine.Trace 
 func runFig3a(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig3a", o)
-	traces := stateMachineTraces(m, o, false)
+	traces := stateMachineTraces(m, o, "")
 	m.Run()
 	model := statemachine.Infer(traces)
 	fmt.Fprintln(w, "Inferred QUIC (Cubic) congestion-control state machine")
@@ -437,7 +438,7 @@ func runFig3a(w io.Writer, o Options) {
 func runFig3b(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig3b", o)
-	traces := stateMachineTraces(m, o, true)
+	traces := stateMachineTraces(m, o, "bbr")
 	m.Run()
 	model := statemachine.Infer(traces)
 	fmt.Fprintln(w, "Inferred QUIC BBR state machine (experimental CC, Fig 3b):")
@@ -453,14 +454,15 @@ func runFig4(w io.Writer, o Options) {
 	if o.Quick {
 		dur = 20 * time.Second
 	}
-	variants := [][]Proto{{QUIC, TCP}, {QUIC, TCP, TCP}}
+	q, t := FairArm{Proto: QUIC}, FairArm{Proto: TCP}
+	variants := [][]FairArm{{q, t}, {q, t, t}}
 	results := make([][]FairFlow, len(variants))
-	for vi, flows := range variants {
+	for vi, arms := range variants {
 		sci := m.NextScenario()
 		m.Add(Cell{Scenario: sci}, func(seed int64) {
 			results[vi] = RunFairness(FairnessSpec{
 				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Flows: flows, Duration: dur,
+				Arms: arms, Duration: dur,
 			})
 		})
 	}
@@ -487,7 +489,12 @@ func runTable4(w io.Writer, o Options) {
 		dur = 20 * time.Second
 		runs = 3
 	}
-	rows := RunFairnessTable(o, runs, dur)
+	q, t := FairArm{Proto: QUIC}, FairArm{Proto: TCP}
+	rows := RunFairnessScenarios(o, "table4", runs, dur, []FairnessScenario{
+		{Name: "QUIC vs TCP", Arms: []FairArm{q, t}},
+		{Name: "QUIC vs TCPx2", Arms: []FairArm{q, t, t}},
+		{Name: "QUIC vs TCPx4", Arms: []FairArm{q, t, t, t, t}},
+	})
 	fmt.Fprintf(w, "%-16s %-8s %-22s\n", "Scenario", "Flow", "Avg thrpt Mbps (std)")
 	cur := ""
 	for _, r := range rows {
@@ -510,7 +517,7 @@ func runFig5(w io.Writer, o Options) {
 	m.Add(Cell{Scenario: m.NextScenario()}, func(seed int64) {
 		res = RunFairness(FairnessSpec{
 			Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-			Flows: []Proto{QUIC, TCP}, Duration: dur,
+			Arms: []FairArm{{Proto: QUIC}, {Proto: TCP}}, Duration: dur,
 		})
 	})
 	m.Run()
@@ -1099,7 +1106,7 @@ func runAblations(w io.Writer, o Options) {
 		m.Add(Cell{Scenario: sci}, func(seed int64) {
 			fairRes[ni] = RunFairness(FairnessSpec{
 				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Flows: []Proto{QUIC, TCP}, Duration: 20 * time.Second, Connections: n,
+				Arms: []FairArm{{Proto: QUIC}, {Proto: TCP}}, Duration: 20 * time.Second, Connections: n,
 			})
 		})
 	}

@@ -39,31 +39,12 @@ type FairnessSpec struct {
 	RateMbps   float64
 	RTT        time.Duration
 	QueueBytes int // the paper used 30 KB
-	// Flows is the legacy two-knob arm list: protocols with calibrated
-	// congestion control. Ignored when Arms is set.
-	Flows    []Proto
-	Duration time.Duration
-	// Arms generalises Flows to N arbitrary (transport, CC algorithm)
-	// competitors — the CC-tournament substrate. When nil, Flows is
-	// used; the two paths are byte-identical for matching arm lists
-	// (see TestFairnessArmsMatchFlows).
+	Duration   time.Duration
+	// Arms lists the N competing (transport, CC algorithm) flows.
 	Arms []FairArm
 	// Connections is QUIC's N-connection emulation (0 = QUIC 34's
 	// default of 2; the paper also tested N=1).
 	Connections int
-}
-
-// arms resolves the spec's competitor list: Arms verbatim, or Flows
-// lifted into default-CC arms.
-func (spec FairnessSpec) arms() []FairArm {
-	if spec.Arms != nil {
-		return spec.Arms
-	}
-	arms := make([]FairArm, len(spec.Flows))
-	for i, p := range spec.Flows {
-		arms[i] = FairArm{Proto: p}
-	}
-	return arms
 }
 
 // RunFairness runs the given flows over one shared bottleneck and
@@ -88,12 +69,11 @@ func RunFairness(spec FairnessSpec) []FairFlow {
 
 	objectSize := int(spec.RateMbps*1e6/8) * int(spec.Duration/time.Second) * 2
 
-	arms := spec.arms()
-	flows := make([]FairFlow, len(arms))
-	received := make([]int64, len(arms))
-	tracers := make([]*trace.Recorder, len(arms))
+	flows := make([]FairFlow, len(spec.Arms))
+	received := make([]int64, len(spec.Arms))
+	tracers := make([]*trace.Recorder, len(spec.Arms))
 	quicN, tcpN := 0, 0
-	for i, arm := range arms {
+	for i, arm := range spec.Arms {
 		cli := netem.Addr(10 + i)
 		srv := netem.Addr(100 + i)
 		nw.SetPath(srv, cli, down)
@@ -180,9 +160,8 @@ func startTCPBulk(f *web.TCPFetcher, received *int64) {
 	conn.OnConnected(func() { conn.Write(web.TLSBytes(web.RequestSize)) })
 }
 
-// FairnessTable runs the Table 4 scenarios (QUIC vs TCP, QUIC vs TCPx2,
-// QUIC vs TCPx4) over `runs` seeds and returns mean (std) throughput per
-// flow, mirroring the paper's table.
+// FairnessRow is one flow's mean (std) throughput over a fairness
+// table's runs, mirroring the paper's Table 4.
 type FairnessRow struct {
 	Scenario string
 	Flow     string
@@ -206,26 +185,6 @@ type FairnessScenario struct {
 	RateMbps   float64       // 0 = 5
 	RTT        time.Duration // 0 = DefaultRTT
 	QueueBytes int           // 0 = 30 KB
-}
-
-// RunFairnessTable reproduces Table 4 on the matrix engine. It is the
-// legacy QUIC-vs-TCPxN entry point, now a thin wrapper over the N-arm
-// RunFairnessScenarios (same matrix name, scenario order and seeds, so
-// its rendered rows are byte-identical to the pre-generalisation code —
-// pinned by testdata/table4.golden and TestFairnessTableLegacyShape).
-func RunFairnessTable(o Options, runs int, dur time.Duration) []FairnessRow {
-	protos := func(ps ...Proto) []FairArm {
-		arms := make([]FairArm, len(ps))
-		for i, p := range ps {
-			arms[i] = FairArm{Proto: p}
-		}
-		return arms
-	}
-	return RunFairnessScenarios(o, "table4", runs, dur, []FairnessScenario{
-		{Name: "QUIC vs TCP", Arms: protos(QUIC, TCP)},
-		{Name: "QUIC vs TCPx2", Arms: protos(QUIC, TCP, TCP)},
-		{Name: "QUIC vs TCPx4", Arms: protos(QUIC, TCP, TCP, TCP, TCP)},
-	})
 }
 
 // RunFairnessScenarios runs an N-arm fairness table on the matrix
@@ -307,38 +266,4 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 	}
 	m.Run()
 	return rows
-}
-
-// QUICProxyCompare compares direct QUIC against proxied QUIC (Fig 18):
-// positive percent difference means direct is faster.
-func (sc Scenario) QUICProxyCompare(rounds int) Comparison {
-	direct := sc
-	direct.Proxy = NoProxy
-	proxied := sc
-	proxied.Proxy = QUICProxy
-	var ds, ps []float64
-	incomplete := 0
-	var failures map[FailureReason]int
-	for r := 0; r < rounds; r++ {
-		seed := sc.Seed*1000 + int64(r)
-		d := direct.RunPLT(QUIC, seed)
-		p := proxied.RunPLT(QUIC, seed)
-		recordFailure(&incomplete, &failures, d)
-		recordFailure(&incomplete, &failures, p)
-		ds = append(ds, d.PLT.Seconds())
-		ps = append(ps, p.PLT.Seconds())
-	}
-	cm := Comparison{
-		QUICMean:   time.Duration(stats.Mean(ds) * float64(time.Second)), // direct
-		TCPMean:    time.Duration(stats.Mean(ps) * float64(time.Second)), // proxied
-		PctDiff:    stats.PercentDiff(stats.Mean(ps), stats.Mean(ds)),
-		Rounds:     rounds,
-		Incomplete: incomplete,
-		Failures:   failures,
-	}
-	if w, err := stats.Welch(ds, ps); err == nil {
-		cm.P = w.P
-		cm.Significant = w.P < 0.01
-	}
-	return cm
 }

@@ -744,9 +744,8 @@ func (m *Matrix) ProxyCompare(sc Scenario) *Comparison {
 }
 
 // CompareWith runs one scenario's paired comparison on the engine with
-// o.Parallelism workers — the cmd/quicsim entry point. (Scenario.Compare
-// is the sequential legacy path with its original seed derivation,
-// retained for API compatibility and the directional regression tests.)
+// o.Parallelism workers: the cmd/quicsim entry point and the one-scenario
+// form of Matrix.Compare, seeded by CellSeed like every experiment.
 func (sc Scenario) CompareWith(o Options) Comparison {
 	m := NewMatrix("cli", o)
 	cm := m.Compare(sc)

@@ -18,7 +18,6 @@ import (
 	"quiclab/internal/proxy"
 	"quiclab/internal/quic"
 	"quiclab/internal/sim"
-	"quiclab/internal/stats"
 	"quiclab/internal/tcp"
 	"quiclab/internal/trace"
 	"quiclab/internal/web"
@@ -84,11 +83,10 @@ type Scenario struct {
 	SSThreshBug   bool // the Chromium-52 server bug (§4.1)
 	NoHyStart     bool // ablation
 	NoPacing      bool // ablation
-	UseBBR        bool
 	// CCAlgo selects a registry congestion controller by name for both
 	// transports (cc.Algorithms lists them), overriding the calibrated
-	// defaults and UseBBR. Empty keeps the legacy per-transport
-	// calibration (gQUIC-34 Cubic / Linux Cubic / BBR via UseBBR).
+	// defaults. Empty keeps the per-transport calibration (gQUIC-34
+	// Cubic / Linux Cubic).
 	CCAlgo     string
 	MaxStreams int // MSPC (0 = 100)
 	// TimeLossDetection / AdaptiveNACK select the reordering-tolerant
@@ -201,7 +199,6 @@ func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) q
 	return quic.Config{
 		WireEncode:        sc.WireEncode,
 		CC:                ccCfg,
-		UseBBR:            sc.UseBBR,
 		CCAlgo:            sc.CCAlgo,
 		NACKThreshold:     sc.NACKThreshold,
 		TimeLossDetection: sc.TimeLossDetection,
@@ -420,8 +417,19 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 	}
 
 	target := serverAddr
-	if sc.Proxy != NoProxy {
+	switch {
+	case sc.Proxy == QUICProxy && proto == QUIC, sc.Proxy == TCPProxy && proto == TCP:
 		target = proxyAddr
+	case sc.Proxy != NoProxy:
+		// The proxy cannot carry this transport: connect direct across
+		// both halves of the proxied topology.
+		tb.net.SetPath(serverAddr, clientAddr, tb.down...)
+		revLinks := tb.revScratch[:0]
+		for i := range tb.up {
+			revLinks = append(revLinks, tb.up[len(tb.up)-1-i])
+		}
+		tb.revScratch = revLinks
+		tb.net.SetPath(clientAddr, serverAddr, revLinks...)
 	}
 
 	switch proto {
@@ -438,16 +446,6 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		if sc.Proxy == QUICProxy {
 			pxCfg := sc.quicConfig(nil, nil)
 			proxy.StartQUICProxy(tb.net, proxyAddr, pxCfg, serverAddr)
-		} else if sc.Proxy == TCPProxy {
-			// QUIC cannot be proxied by a TCP proxy: connect direct.
-			target = serverAddr
-			tb.net.SetPath(serverAddr, clientAddr, tb.down...)
-			revLinks := tb.revScratch[:0]
-			for i := range tb.up {
-				revLinks = append(revLinks, tb.up[len(tb.up)-1-i])
-			}
-			tb.revScratch = revLinks
-			tb.net.SetPath(clientAddr, serverAddr, revLinks...)
 		}
 		cliCfg := sc.quicConfig(clientTracer, nil)
 		cliCfg.Disable0RTT = sc.Disable0RTT
@@ -489,16 +487,6 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		tsrv.ServiceWait = sc.ServiceWait
 		if sc.Proxy == TCPProxy {
 			proxy.StartTCPProxy(tb.net, proxyAddr, tcp.Config{}, serverAddr)
-		} else if sc.Proxy == QUICProxy {
-			// TCP through a QUIC proxy is not possible: direct.
-			target = serverAddr
-			tb.net.SetPath(serverAddr, clientAddr, tb.down...)
-			revLinks := tb.revScratch[:0]
-			for i := range tb.up {
-				revLinks = append(revLinks, tb.up[len(tb.up)-1-i])
-			}
-			tb.revScratch = revLinks
-			tb.net.SetPath(clientAddr, serverAddr, revLinks...)
 		}
 		cliCfg := sc.Device.ApplyTCP(tcp.Config{Tracer: clientTracer, WireEncode: sc.WireEncode})
 		if tb.tcliEP == nil {
@@ -574,36 +562,4 @@ func (sc Scenario) perturbed(round int) Scenario {
 	out.RTT = time.Duration(float64(sc.rtt()) * f)
 	out.ExtraDelay = 0
 	return out
-}
-
-// Compare runs `rounds` back-to-back paired page loads (QUIC then TCP,
-// same network seed per round, the paper's §3.3 procedure) and applies
-// Welch's t-test at p < 0.01.
-func (sc Scenario) Compare(rounds int) Comparison {
-	var qs, ts []float64
-	incomplete := 0
-	var failures map[FailureReason]int
-	for r := 0; r < rounds; r++ {
-		seed := sc.Seed*1000 + int64(r)
-		round := sc.perturbed(r)
-		q := round.RunPLT(QUIC, seed)
-		t := round.RunPLT(TCP, seed)
-		recordFailure(&incomplete, &failures, q)
-		recordFailure(&incomplete, &failures, t)
-		qs = append(qs, q.PLT.Seconds())
-		ts = append(ts, t.PLT.Seconds())
-	}
-	cm := Comparison{
-		QUICMean:   time.Duration(stats.Mean(qs) * float64(time.Second)),
-		TCPMean:    time.Duration(stats.Mean(ts) * float64(time.Second)),
-		PctDiff:    stats.PercentDiff(stats.Mean(ts), stats.Mean(qs)),
-		Rounds:     rounds,
-		Incomplete: incomplete,
-		Failures:   failures,
-	}
-	if w, err := stats.Welch(qs, ts); err == nil {
-		cm.P = w.P
-		cm.Significant = w.P < 0.01
-	}
-	return cm
 }

@@ -41,10 +41,6 @@ type tbShape struct {
 
 // shape computes the scenario's structural identity for one protocol.
 func (sc Scenario) shape(proto Proto) tbShape {
-	ccKey := sc.CCAlgo
-	if ccKey == "" && sc.UseBBR {
-		ccKey = "bbr-legacy"
-	}
 	return tbShape{
 		proto:    proto,
 		cellular: sc.Cell != nil,
@@ -52,7 +48,7 @@ func (sc Scenario) shape(proto Proto) tbShape {
 		detailed: sc.TraceEvents,
 		metrics:  sc.Metrics,
 		cadence:  sc.MetricsCadence,
-		ccKey:    ccKey,
+		ccKey:    sc.CCAlgo,
 	}
 }
 

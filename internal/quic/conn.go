@@ -222,8 +222,6 @@ func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 		c.cc = cc.MustNew(cfg.CCAlgo, cc.Config{
 			MSS: MaxPacketSize, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
 		})
-	} else if cfg.UseBBR {
-		c.cc = cc.NewBBR(MaxPacketSize, cfg.Tracer, cfg.Metrics)
 	} else {
 		ccCfg := cfg.CC
 		ccCfg.Tracer = cfg.Tracer

@@ -77,16 +77,13 @@ const (
 type Config struct {
 	// CC is the Cubic configuration (paper §4.1 calibration: MACW,
 	// N-connection emulation, HyStart, PRR, pacing, ssthresh bug).
-	// Ignored when UseBBR or CCAlgo is set.
+	// Ignored when CCAlgo is set.
 	CC cc.CubicConfig
-	// UseBBR selects the experimental BBR controller (Fig 3b).
-	UseBBR bool
 	// CCAlgo selects a congestion controller from the registry by name
 	// (cc.Algorithms lists them) in its standard configuration,
-	// overriding both CC and UseBBR. Empty keeps the calibrated legacy
-	// path (Cubic, or BBR when UseBBR is set). Callers validate the
-	// name (CLIs exit 2 on unknown algorithms); an unknown name here
-	// panics.
+	// overriding CC; "bbr" is the experimental BBR of Fig 3b. Empty
+	// keeps the calibrated Cubic. Callers validate the name (CLIs exit
+	// 2 on unknown algorithms); an unknown name here panics.
 	CCAlgo string
 	// NACKThreshold overrides the fast-retransmit NACK threshold
 	// (Fig 10 sweeps this). 0 means DefaultNACKThreshold.

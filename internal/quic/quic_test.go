@@ -369,7 +369,7 @@ func TestTailLossProbeRecoversTailLoss(t *testing.T) {
 
 func TestBBRConnectionTransfers(t *testing.T) {
 	rec := trace.New()
-	tb := newTestbed(6, fastLink(), Config{}, Config{UseBBR: true, Tracer: rec})
+	tb := newTestbed(6, fastLink(), Config{}, Config{CCAlgo: "bbr", Tracer: rec})
 	tb.serveObjects(5 << 20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
